@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .config import (ReconConfig, load_config, recon_config, system_config,
-                     train_config, worker_count)
+from .config import (load_config, parallel_map, recon_config, system_config,
+                     train_config)
 from .designs import (DesignMatrix, heuristic_design, load_design, save_design,
                       single_led_design)
 from .errors import FpmError
@@ -105,8 +104,7 @@ def cmd_train(args) -> int:
     phantom_context = "phase" if context == "phase" else "amplitude"
     n = int(values.get("n_phantoms", 20))
     dataset = make_dataset(cfg, phantom_context, n, tcfg.seed)
-    items = _prepare_items(dataset, geometry, pupil, cfg)
-    result = train(items, geometry, pupil, cfg, args.K, context, tcfg, gamma=gamma)
+    result = train(dataset, geometry, pupil, cfg, args.K, context, tcfg, gamma=gamma)
     save_design(result.design, args.out, geometry)
     write_csv(args.out + ".log.csv", ["epoch", "train_loss", "test_loss"],
               [[e, f"{tr:.17g}", f"{te:.17g}"] for e, tr, te in result.log])
@@ -114,22 +112,6 @@ def cmd_train(args) -> int:
     print(f"trained K={args.K} {args.context} design -> {args.out} "
           f"(best epoch {result.best_epoch})")
     return 0
-
-
-class _Items:
-    def __init__(self, train_items, test_items):
-        self.train_items = train_items
-        self.test_items = test_items
-
-
-def _prepare_items(dataset, geometry, pupil, cfg) -> _Items:
-    from .optics import simulate_singles
-
-    def items(phantoms):
-        return [(simulate_singles(ph.field, geometry, pupil, cfg), ph.field)
-                for ph in phantoms]
-
-    return _Items(items(dataset.train_phantoms()), items(dataset.test_phantoms()))
 
 
 def cmd_reconstruct(args) -> int:
@@ -183,12 +165,7 @@ def cmd_evaluate(args) -> int:
         rec_q, tru_q = context_quantity(trace.x_star, phantom.field, context)
         return lf_psnr(rec_q, tru_q, cfg), hf_psnr(rec_q, tru_q, cfg)
 
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(run, jobs))
-    else:
-        scores = [run(job) for job in jobs]
+    scores = parallel_map(run, jobs)
 
     rows = []
     per_design = {}

@@ -8,6 +8,7 @@ spacing, synthetic-aperture cutoff).
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -107,7 +108,6 @@ class TrainConfig:
     epochs: int = 50
     batch: int = 5
     seed: int = 0
-    checkpoint_every: int = 0  # 0 -> round(sqrt(T)) at train time
     train_noise: bool = True
     noise_rate: float = 10000.0
     unroll: ReconConfig = field(default_factory=ReconConfig)
@@ -138,20 +138,17 @@ _KEYS = {
     "epochs": int,
     "batch": int,
     "seed": int,
-    "checkpoint_every": int,
     "train_noise": bool,
     "noise_rate": float,
-    "gamma": float,
     "context": str,
     "n_phantoms": int,
-    "design_K": int,
 }
 
 _SYS_FIELDS = (
     "wavelength_um na_obj na_illum_max mag camera_px_um "
     "led_pitch_mm led_height_mm patch_px upsample".split()
 )
-_TRAIN_FIELDS = "lr epochs batch seed checkpoint_every train_noise noise_rate".split()
+_TRAIN_FIELDS = "lr epochs batch seed train_noise noise_rate".split()
 
 
 def _coerce(key: str, raw: str):
@@ -222,3 +219,16 @@ def worker_count() -> int:
     except ValueError:
         raise ConfigError(f"FPM_THREADS must be an integer, got {raw!r}") from None
     return max(1, n)
+
+
+def parallel_map(fn, items) -> list:
+    """[fn(item) for item in items] on up to worker_count() threads.
+
+    Results keep the order of items, so reductions over them are
+    bit-identical for any FPM_THREADS.
+    """
+    workers = min(worker_count(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -170,4 +170,6 @@ def load_design(path: str, geometry: LedGeometry) -> DesignMatrix:
             weights[k] = [float(v) for v in fields]
         except ValueError:
             raise FormatError(f"{path}:{3 + k}: non-numeric weight") from None
+        if not (np.isfinite(weights[k]).all() and (weights[k] >= 0).all()):
+            raise FormatError(f"{path}:{3 + k}: weights must be finite and non-negative")
     return DesignMatrix(weights, weights > 0, context=None)

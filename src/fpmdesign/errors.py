@@ -14,7 +14,7 @@ class GeometryError(FpmError):
 
 
 class FormatError(FpmError):
-    """Malformed file content (design, stack, manifest)."""
+    """Malformed file content (design, stack)."""
 
 
 class FingerprintError(FormatError):

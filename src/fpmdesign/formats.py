@@ -1,4 +1,4 @@
-"""File formats: FPMSTACK binary stacks, plain PGM/PPM previews, atomic writes.
+"""File formats: FPMSTACK binary stacks, plain PGM previews, atomic writes.
 
 FPMSTACK layout (all integers little-endian):
     magic   4 bytes  b"FPMS"
@@ -107,18 +107,6 @@ def write_pgm(path: str, gray: np.ndarray):
     lines = [f"P2\n{w} {h}\n255"]
     for row in gray:
         lines.append(" ".join(str(int(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_ppm(path: str, rgb: np.ndarray):
-    """Plain (P3) PPM from a (h, w, 3) uint8 array."""
-    rgb = np.asarray(rgb)
-    if rgb.dtype != np.uint8 or rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise FormatError("write_ppm expects an (h, w, 3) uint8 array")
-    h, w, _ = rgb.shape
-    lines = [f"P3\n{w} {h}\n255"]
-    for row in rgb:
-        lines.append(" ".join(str(int(v)) for px in row for v in px))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -7,14 +7,12 @@ synthetic-aperture disk so the ground truth is recoverable in principle.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig
-from .errors import FpmError, FormatError
-from .formats import atomic_write_text, write_stack
+from .errors import FpmError
 from .fourier import cfft2, icfft2, radius_grid
 
 AMPLITUDE = "amplitude"
@@ -107,35 +105,3 @@ def make_dataset(cfg: SystemConfig, context: str, n: int, seed: int) -> Dataset:
     n_train = int(round(0.9 * n))
     n_train = min(max(n_train, 1), n - 1)  # keep both splits nonempty
     return Dataset(phantoms, perm[:n_train], perm[n_train:], context, seed)
-
-
-def manifest_text(ds: Dataset) -> str:
-    split = np.empty(len(ds.phantoms), dtype=object)
-    split[ds.train_idx] = "train"
-    split[ds.test_idx] = "test"
-    lines = ["index,seed,split"]
-    for i, ph in enumerate(ds.phantoms):
-        lines.append(f"{i},{ph.seed},{split[i]}")
-    return "\n".join(lines) + "\n"
-
-
-def save_dataset(ds: Dataset, out_dir: str):
-    """Persist fields (FPMSTACK complex) plus the split manifest."""
-    os.makedirs(out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(out_dir, "manifest.csv"), manifest_text(ds))
-    for i, ph in enumerate(ds.phantoms):
-        write_stack(os.path.join(out_dir, f"phantom_{i:03d}.fpms"), ph.field[None])
-
-
-def load_manifest(path: str) -> list[tuple[int, int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "index,seed,split":
-        raise FormatError(f"{path}:1: bad manifest header")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3 or parts[2] not in ("train", "test"):
-            raise FormatError(f"{path}:{ln}: bad manifest row {line!r}")
-        rows.append((int(parts[0]), int(parts[1]), parts[2]))
-    return rows

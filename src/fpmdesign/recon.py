@@ -27,7 +27,6 @@ __all__ = [
 class ReconTrace:
     x_star: np.ndarray
     cost_history: list[float] = field(default_factory=list)
-    retained_states: dict | None = None
 
 
 def _check_dims(ops: SubApertureOps, Y: np.ndarray, C: np.ndarray):
@@ -113,18 +112,28 @@ def solver_plan(ops, Y, C, alpha, init_phase: float = 0.0):
     return x0, eta
 
 
-def _unroll(ops, Y, C, x0, eta, T):
-    x = x0.copy()
-    history = []
+def _unroll(ops, Y, C, x0, eta, T, keep_every=0):
+    """T gradient steps from x0: the one place a solver step is taken.
+
+    Returns the final iterate x_T, the costs at x_0..x_{T-1}, and the
+    iterates {t: x_t} for 0 <= t <= T with t % keep_every == 0 (none when
+    keep_every is 0). A step rebinds x and never writes into it, so the
+    kept iterates need no copy.
+    """
+    x = x0
+    costs = []
+    kept = {}
     for t in range(T):
+        if keep_every and t % keep_every == 0:
+            kept[t] = x
         value, grad, _ = _cost_grad(ops, x, Y, C)
-        history.append(value)
+        costs.append(value)
         x = x - eta * grad
         if not np.all(np.isfinite(x)):
             raise DivergenceError(t + 1)
-    value, _, _ = _cost_grad(ops, x, Y, C, want_grad=False)
-    history.append(value)
-    return x, history
+    if keep_every and T % keep_every == 0:
+        kept[T] = x
+    return x, costs, kept
 
 
 # -------- public, spec-level entry points --------
@@ -161,7 +170,8 @@ def reconstruct(stack: MeasurementStack, C, geometry, pupil, cfg,
     ops = _ops_for(geometry, pupil, cfg)
     _check_dims(ops, stack.images, C)
     active = C.sum(axis=0) > 0
-    sub = ops.subset(active)
-    x0, eta = solver_plan(sub, stack.images, C[:, active], rcfg.step_alpha, init_phase)
-    x, history = _unroll(sub, stack.images, C[:, active], x0, eta, rcfg.unroll_T)
-    return ReconTrace(x_star=x, cost_history=history)
+    sub, C = ops.subset(active), C[:, active]
+    x0, eta = solver_plan(sub, stack.images, C, rcfg.step_alpha, init_phase)
+    x, history, _ = _unroll(sub, stack.images, C, x0, eta, rcfg.unroll_T)
+    final, _, _ = _cost_grad(sub, x, stack.images, C, want_grad=False)
+    return ReconTrace(x_star=x, cost_history=history + [final])

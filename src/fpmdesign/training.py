@@ -10,17 +10,18 @@ O(sqrt(T)) states instead of O(T).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import LossSpec, SystemConfig, TrainConfig, worker_count
+from .config import LossSpec, SystemConfig, TrainConfig, parallel_map
 from .designs import DesignMatrix, context_mask, AMPLITUDE, PHASE, MIXED
 from .errors import DegenerateRowError, FpmError
 from .geometry import LedGeometry
-from .optics import MeasurementStack, Pupil, SubApertureOps, add_shot_noise
-from .recon import _cost_grad, solver_plan
+from .optics import (MeasurementStack, Pupil, SubApertureOps, add_shot_noise,
+                     simulate_singles)
+from .phantoms import Dataset
+from .recon import _cost_terms, _unroll, solver_plan
 
 __all__ = [
     "loss", "grad_design", "project", "train", "TrainResult", "loss_spec_for",
@@ -88,32 +89,21 @@ def _example_grad(ops, singles_flat, x_true, C, T, alpha, spec, stride):
     p2 = ops.p * ops.p
     Y = (C @ singles_flat).reshape(K, ops.p, ops.p)
     x0, eta = solver_plan(ops, Y, C, alpha)
-
-    checkpoints = {0: x0.copy()}
-    x = x0.copy()
-    for t in range(T):
-        _, g, _ = _cost_grad(ops, x, Y, C)
-        x = x - eta * g
-        if (t + 1) % stride == 0 and t + 1 < T:
-            checkpoints[t + 1] = x.copy()
+    x, _, checkpoints = _unroll(ops, Y, C, x0, eta, T, keep_every=stride)
 
     theta = _align_phase(x, x_true)
     loss_val = _loss_value(x, x_true, spec, theta)
     lam = _loss_grad(x, x_true, spec, theta)
 
     dC = np.zeros_like(C)
-    Y_flat = Y.reshape(K, p2)
     for seg_start in reversed(range(0, T, stride)):
         seg_end = min(seg_start + stride, T)
-        states = [checkpoints[seg_start]]
-        for _ in range(seg_start, seg_end - 1):
-            _, g, _ = _cost_grad(ops, states[-1], Y, C)
-            states.append(states[-1] - eta * g)
+        _, _, states = _unroll(ops, Y, C, checkpoints[seg_start], eta,
+                               seg_end - seg_start - 1, keep_every=1)
         for t in reversed(range(seg_start, seg_end)):
-            x_t = states[t - seg_start]
-            fields = ops.forward(x_t)
-            intens = (np.abs(fields) ** 2).reshape(ops.L, p2)
-            resid = Y_flat - C @ intens
+            fields, intens, resid = _cost_terms(ops, states[t - seg_start], Y, C)
+            intens = intens.reshape(ops.L, p2)
+            resid = resid.reshape(K, p2)
             h = ops.forward(lam)
             inner = np.real(np.conj(h) * fields).reshape(ops.L, p2)
             dC += 4.0 * eta * (resid @ inner.T + (C @ inner) @ (singles_flat - intens).T)
@@ -124,11 +114,8 @@ def _example_grad(ops, singles_flat, x_true, C, T, alpha, spec, stride):
 
 
 def _resolve_stride(tcfg: TrainConfig) -> int:
-    T = tcfg.unroll.unroll_T
-    stride = tcfg.checkpoint_every
-    if stride <= 0:
-        stride = max(1, int(round(np.sqrt(max(T, 1)))))
-    return min(stride, max(T, 1))
+    """Checkpoint spacing of the reverse sweep: round(sqrt(T)), at least 1."""
+    return max(1, int(round(np.sqrt(tcfg.unroll.unroll_T))))
 
 
 def _batch_grad(ops, batch, C, spec, tcfg):
@@ -142,16 +129,10 @@ def _batch_grad(ops, batch, C, spec, tcfg):
         flat = np.asarray(singles, dtype=float).reshape(ops.L, -1)
         return _example_grad(ops, flat, x_true, C, T, alpha, spec, stride)
 
-    workers = worker_count()
-    if workers > 1 and len(batch) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, batch))
-    else:
-        results = [run(item) for item in batch]
     # fixed reduction order keeps gradients bit-reproducible
     total_loss = 0.0
     total_grad = np.zeros_like(C)
-    for loss_val, grad in results:
+    for loss_val, grad in parallel_map(run, batch):
         total_loss += loss_val
         total_grad += grad
     n = len(batch)
@@ -171,10 +152,7 @@ def _example_loss(ops, singles, x_true, C, spec, rcfg_T, alpha):
     flat = np.asarray(singles, dtype=float).reshape(ops.L, -1)
     Y = (C @ flat).reshape(C.shape[0], ops.p, ops.p)
     x0, eta = solver_plan(ops, Y, C, alpha)
-    x = x0.copy()
-    for _ in range(rcfg_T):
-        _, g, _ = _cost_grad(ops, x, Y, C)
-        x = x - eta * g
+    x, _, _ = _unroll(ops, Y, C, x0, eta, rcfg_T)
     theta = _align_phase(x, x_true)
     return _loss_value(x, x_true, spec, theta)
 
@@ -204,16 +182,17 @@ def _noisy_singles(singles, geometry, seed_tuple, rate):
     return add_shot_noise(stack, geometry, seed_tuple, mean_rate=rate).images
 
 
-def train(dataset, geometry: LedGeometry, pupil: Pupil, cfg: SystemConfig,
+def train(dataset: Dataset, geometry: LedGeometry, pupil: Pupil, cfg: SystemConfig,
           K: int, context: str, tcfg: TrainConfig,
           gamma: float | None = None, on_step=None) -> TrainResult:
     """Learn a K-measurement design by projected SGD.
 
-    dataset provides .train_items and .test_items lists of (singles, x_true).
-    Every epoch shuffles the training items; when train_noise is set, each
-    (epoch, example) pair sees an independent seeded shot-noise draw of its
-    single-LED images. Test loss is evaluated on clean measurements, and the
-    returned design is the best-test-loss iterate.
+    The single-LED images of the dataset's train and test phantoms are
+    simulated once, up front. Every epoch shuffles the training examples;
+    when train_noise is set, each (epoch, example) pair sees an independent
+    seeded shot-noise draw of its single-LED images. Test loss is evaluated
+    on clean measurements, and the returned design is the best-test-loss
+    iterate.
     """
     spec = loss_spec_for(context, gamma)
     mask = context_mask(geometry, K, context)
@@ -221,8 +200,12 @@ def train(dataset, geometry: LedGeometry, pupil: Pupil, cfg: SystemConfig,
     rng = np.random.default_rng(tcfg.seed)
     C = project(rng.uniform(0.0, 1.0, size=mask.shape), mask)
 
-    train_items = list(dataset.train_items)
-    test_items = list(dataset.test_items)
+    def examples(phantoms):
+        return [(simulate_singles(ph.field, geometry, pupil, cfg), ph.field)
+                for ph in phantoms]
+
+    train_items = examples(dataset.train_phantoms())
+    test_items = examples(dataset.test_phantoms())
     T, alpha = tcfg.unroll.unroll_T, tcfg.unroll.step_alpha
 
     def test_loss(Cmat):

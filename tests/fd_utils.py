@@ -16,12 +16,12 @@ def frozen_plan_loss(ops, singles_flat, x_true, C_base, alpha, T, spec):
     K, p = C_base.shape[0], ops.p
     Y_base = (C_base @ singles_flat).reshape(K, p, p)
     x0, eta = solver_plan(ops, Y_base, C_base, alpha)
-    x_base, _ = _unroll(ops, Y_base, C_base, x0, eta, T)
+    x_base, _, _ = _unroll(ops, Y_base, C_base, x0, eta, T)
     theta = _align_phase(x_base, x_true)
 
     def f(C):
         Y = (C @ singles_flat).reshape(K, p, p)
-        x, _ = _unroll(ops, Y, C, x0, eta, T)
+        x, _, _ = _unroll(ops, Y, C, x0, eta, T)
         return _loss_value(x, x_true, spec, theta)
 
     return f, f(C_base)

@@ -69,16 +69,6 @@ def _report(num, ok, detail):
 # ---------------------------------------------------------------- pipelines
 
 
-def _sim_items(phantoms, geom, pupil, cfg):
-    return [(simulate_singles(ph.field, geom, pupil, cfg), ph.field) for ph in phantoms]
-
-
-class _Items:
-    def __init__(self, train_items, test_items):
-        self.train_items = train_items
-        self.test_items = test_items
-
-
 def _convergence_run(tmpdir):
     """Criterion 6 pipeline: single-LED stack, 100-step solve, full patch."""
     cfg = SystemConfig()  # 35-px patch, 105-px field
@@ -132,15 +122,13 @@ def _trend_run(tmpdir):
 
     t0 = time.perf_counter()
     ds = make_dataset(cfg, "amplitude", 20, 2000)
-    items = _Items(_sim_items(ds.train_phantoms(), geom, pupil, cfg),
-                   _sim_items(ds.test_phantoms(), geom, pupil, cfg))
 
     designs = []  # (name, K, DesignMatrix, best_test_loss or None)
     for K, seed in ((15, 11), (10, 12)):
         heur = heuristic_design(geom, K, seed=0)
         tcfg = TrainConfig(lr=0.05, epochs=TREND_EPOCHS, batch=6, seed=seed,
                            train_noise=True, noise_rate=1e4, unroll=rcfg)
-        result = train(items, geom, pupil, cfg, K, "amplitude", tcfg)
+        result = train(ds, geom, pupil, cfg, K, "amplitude", tcfg)
         best_loss = result.log[result.best_epoch][2]
         designs.append((f"heuristic{K}", K, heur, None))
         designs.append((f"learned{K}", K, result.design, best_loss))
@@ -148,6 +136,8 @@ def _trend_run(tmpdir):
     from fpmdesign.optics import SubApertureOps
     ops = SubApertureOps.for_geometry(geom, pupil, cfg)
     spec = loss_spec_for("amplitude")
+    test_examples = [(simulate_singles(ph.field, geom, pupil, cfg), ph.field)
+                     for ph in ds.test_phantoms()]
 
     scores = {}
     test_losses = {}
@@ -161,7 +151,7 @@ def _trend_run(tmpdir):
             design_bytes[name] = fh.read()
         clean_losses = [
             _example_loss(ops, s, xt, design.weights, spec, TREND_T, 0.5)
-            for s, xt in items.test_items
+            for s, xt in test_examples
         ]
         test_losses[name] = best_loss if best_loss is not None else float(
             np.mean(clean_losses))
@@ -330,8 +320,6 @@ def test_criterion_07_constraints_after_every_step():
     geom = build_led_geometry(cfg)
     pupil = make_pupil(cfg)
     ds = make_dataset(cfg, "amplitude", 6, 700)
-    items = _Items(_sim_items(ds.train_phantoms(), geom, pupil, cfg),
-                   _sim_items(ds.test_phantoms(), geom, pupil, cfg))
     tcfg = TrainConfig(lr=0.05, epochs=3, batch=2, seed=9, train_noise=True,
                        noise_rate=1e4, unroll=ReconConfig(unroll_T=5, step_alpha=0.5))
     violations = []
@@ -348,7 +336,7 @@ def test_criterion_07_constraints_after_every_step():
 
     from fpmdesign import context_mask
     result_mask = context_mask(geom, 5, "amplitude")
-    train(items, geom, pupil, cfg, 5, "amplitude", tcfg, on_step=on_step)
+    train(ds, geom, pupil, cfg, 5, "amplitude", tcfg, on_step=on_step)
     moved = any(not np.array_equal(a, b) for a, b in zip(steps, steps[1:]))
     ok = len(steps) == 9 and not violations and moved
     _report(7, ok, f"constraints after each of {len(steps)} SGD steps "
@@ -424,12 +412,10 @@ def test_criterion_09_asymmetry_property():
     # part 2: trained bright-field rows, phase context vs amplitude context
     def asym_of_training(context, phantom_ctx, n_bf):
         ds = make_dataset(cfg, phantom_ctx, 8, 500)
-        items = _Items(_sim_items(ds.train_phantoms(), geom, pupil, cfg),
-                       _sim_items(ds.test_phantoms(), geom, pupil, cfg))
         tcfg = TrainConfig(lr=0.05, epochs=8, batch=2, seed=0, train_noise=True,
                            noise_rate=1e4,
                            unroll=ReconConfig(unroll_T=20, step_alpha=0.5))
-        res = train(items, geom, pupil, cfg, 4, context, tcfg)
+        res = train(ds, geom, pupil, cfg, 4, context, tcfg)
         # rows are L1-normalized, so the asymmetry of the bright-field block
         # equals the mean of the per-row indices
         vals = [mirror_asymmetry(res.design.weights[r], geom) for r in range(n_bf)]

@@ -180,6 +180,15 @@ def test_load_errors_carry_line_numbers(tmp_path, geom_full):
     with pytest.raises(FormatError):
         load_design(garbled, geom_full)
 
+    for bad_value in ("nan", "-0.25"):
+        bad_weight = str(tmp_path / f"w{bad_value}.design")
+        bad_lines = list(lines)
+        bad_lines[4] = " ".join([bad_value] + bad_lines[4].split()[1:])
+        with open(bad_weight, "w") as fh:
+            fh.write("\n".join(bad_lines) + "\n")
+        with pytest.raises(FormatError, match=":5: weights must be finite"):
+            load_design(bad_weight, geom_full)
+
     wrong_magic = str(tmp_path / "m.design")
     with open(wrong_magic, "w") as fh:
         fh.write("NOTADESIGN v9\n" + "\n".join(lines[1:]) + "\n")

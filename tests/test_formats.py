@@ -12,7 +12,6 @@ from fpmdesign.formats import (
     to_gray,
     write_csv,
     write_pgm,
-    write_ppm,
     write_stack,
 )
 
@@ -110,17 +109,6 @@ def test_pgm_format(tmp_path):
         write_pgm(str(tmp_path / "bad.pgm"), g.astype(np.float64))
 
 
-def test_ppm_format(tmp_path):
-    rgb = np.zeros((1, 2, 3), dtype=np.uint8)
-    rgb[0, 1] = (255, 0, 7)
-    path = str(tmp_path / "img.ppm")
-    write_ppm(path, rgb)
-    lines = open(path).read().split()
-    assert lines[0] == "P3"
-    assert lines[1:4] == ["2", "1", "255"]
-    assert lines[4:] == ["0", "0", "0", "255", "0", "7"]
-
-
 def test_write_csv(tmp_path):
     path = str(tmp_path / "log.csv")
     write_csv(path, ["epoch", "loss"], [[0, 1.5], [1, "0.75"]])
@@ -166,6 +154,13 @@ def test_parse_config_errors():
         parse_config_text("patch_px = lots")
     with pytest.raises(ConfigError):
         parse_config_text("train_noise = maybe")
+
+
+def test_removed_keys_are_unknown():
+    # parsed-but-ignored keys are rejected rather than silently dropped
+    for key in ("gamma", "design_K", "checkpoint_every"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config_text(f"{key} = 1")
 
 
 def test_load_config_missing_file(tmp_path):

@@ -3,13 +3,7 @@ import pytest
 
 from fpmdesign.errors import FpmError
 from fpmdesign.fourier import cfft2, disk_mask
-from fpmdesign.phantoms import (
-    generate_phantom,
-    load_manifest,
-    make_dataset,
-    manifest_text,
-    save_dataset,
-)
+from fpmdesign.phantoms import generate_phantom, make_dataset
 
 
 def _band_fraction_outside(img, cfg):
@@ -89,23 +83,6 @@ def test_dataset_phantom_seeds_offset_from_base(cfg_tiny):
         assert ph.seed == 30 + i
         direct = generate_phantom(cfg_tiny, "phase", seed=30 + i)
         assert np.array_equal(ph.field, direct.field)
-
-
-def test_manifest_round_trip(tmp_path, cfg_tiny):
-    ds = make_dataset(cfg_tiny, "amplitude", 6, seed=8)
-    text = manifest_text(ds)
-    lines = text.strip().splitlines()
-    assert lines[0] == "index,seed,split"
-    assert len(lines) == 7
-    out = str(tmp_path / "data")
-    save_dataset(ds, out)
-    rows = load_manifest(out + "/manifest.csv")
-    assert len(rows) == 6
-    splits = {idx: split for idx, _, split in rows}
-    assert sorted(splits) == list(range(6))
-    assert sum(1 for s in splits.values() if s == "train") == 5
-    for idx, seed, _ in rows:
-        assert seed == 8 + idx
 
 
 def test_dataset_too_small(cfg_tiny):

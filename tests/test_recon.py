@@ -166,7 +166,7 @@ def test_noiseless_self_consistency(cfg_small, geom_small, pupil_small):
 def test_inactive_leds_are_skipped_consistently(cfg_tiny, geom_tiny, pupil_tiny):
     # zero-weight columns must not change the answer, only skip work
     from fpmdesign.optics import SubApertureOps
-    from fpmdesign.recon import _unroll, solver_plan
+    from fpmdesign.recon import _cost_grad, _unroll, solver_plan
 
     x = _smooth_object(cfg_tiny, 30)
     W = heuristic_design(geom_tiny, 5, seed=4).weights.copy()
@@ -178,6 +178,7 @@ def test_inactive_leds_are_skipped_consistently(cfg_tiny, geom_tiny, pupil_tiny)
 
     ops = SubApertureOps.for_geometry(geom_tiny, pupil_tiny, cfg_tiny)
     x0, eta = solver_plan(ops, stack.images, W, rcfg.step_alpha)
-    dense_x, dense_hist = _unroll(ops, stack.images, W, x0, eta, rcfg.unroll_T)
+    dense_x, dense_hist, _ = _unroll(ops, stack.images, W, x0, eta, rcfg.unroll_T)
+    dense_hist.append(_cost_grad(ops, dense_x, stack.images, W, want_grad=False)[0])
     assert np.abs(base.x_star - dense_x).max() < 1e-9 * np.abs(dense_x).max()
     np.testing.assert_allclose(base.cost_history, dense_hist, rtol=1e-8)

@@ -12,9 +12,9 @@ from fpmdesign import (
     simulate_singles,
     train,
 )
-from fpmdesign.errors import ConfigError, DegenerateRowError, FpmError
+from fpmdesign.errors import ConfigError, DegenerateRowError, DivergenceError, FpmError
 from fpmdesign.optics import SubApertureOps
-from fpmdesign.phantoms import generate_phantom
+from fpmdesign.phantoms import generate_phantom, make_dataset
 from fpmdesign.training import (
     _example_grad,
     _loss_grad,
@@ -202,6 +202,17 @@ def test_design_gradient_public_entry(cfg_tiny, geom_tiny, pupil_tiny):
         assert abs(dC[k, l] - fd) < 1e-4 * max(abs(fd), 1e-9)
 
 
+def test_design_gradient_reports_divergence_at_its_step(cfg_tiny, geom_tiny, pupil_tiny):
+    phantom = generate_phantom(cfg_tiny, "amplitude", seed=7)
+    singles = simulate_singles(phantom.field, geom_tiny, pupil_tiny, cfg_tiny)
+    C = heuristic_design(geom_tiny, 5, seed=3).weights
+    tcfg = TrainConfig(epochs=1, unroll=ReconConfig(unroll_T=20, step_alpha=1e8))
+    with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+        grad_design([(singles, phantom.field)], C, geom_tiny, pupil_tiny, cfg_tiny,
+                    LossSpec(gamma=1.0), tcfg)
+    assert 1 <= err.value.iteration <= 20
+
+
 def test_checkpoint_stride_is_pure_memory_tradeoff():
     ops = make_toy_ops()
     x_true, singles, C = toy_scene(ops, seed=6, k_rows=2)
@@ -245,26 +256,6 @@ def test_masked_entries_killed_by_projection():
 
 # ---------------- training loop ----------------
 
-def _tiny_dataset(cfg, geom, pupil, n=6, seed=100, context="amplitude"):
-    from fpmdesign.phantoms import make_dataset
-
-    ds = make_dataset(cfg, context, n, seed)
-
-    class Items:
-        pass
-
-    def items(phantoms):
-        return [
-            (simulate_singles(ph.field, geom, pupil, cfg), ph.field)
-            for ph in phantoms
-        ]
-
-    out = Items()
-    out.train_items = items(ds.train_phantoms())
-    out.test_items = items(ds.test_phantoms())
-    return out
-
-
 def _tiny_tcfg(seed=1, epochs=3, lr=0.05, noise=True):
     return TrainConfig(lr=lr, epochs=epochs, batch=2, seed=seed,
                        train_noise=noise, noise_rate=1e4,
@@ -272,7 +263,7 @@ def _tiny_tcfg(seed=1, epochs=3, lr=0.05, noise=True):
 
 
 def test_train_smoke_constraints_hold_every_step(cfg_tiny, geom_tiny, pupil_tiny):
-    data = _tiny_dataset(cfg_tiny, geom_tiny, pupil_tiny)
+    data = make_dataset(cfg_tiny, "amplitude", 6, 100)
     tcfg = _tiny_tcfg()
     seen = []
 
@@ -297,7 +288,7 @@ def test_train_smoke_constraints_hold_every_step(cfg_tiny, geom_tiny, pupil_tiny
 
 
 def test_train_is_seed_reproducible(cfg_tiny, geom_tiny, pupil_tiny):
-    data = _tiny_dataset(cfg_tiny, geom_tiny, pupil_tiny)
+    data = make_dataset(cfg_tiny, "amplitude", 6, 100)
     a = train(data, geom_tiny, pupil_tiny, cfg_tiny, K=4, context="amplitude",
               tcfg=_tiny_tcfg(seed=3))
     b = train(data, geom_tiny, pupil_tiny, cfg_tiny, K=4, context="amplitude",
@@ -318,7 +309,7 @@ def test_step_scaling_sanity_under_lr_reduction(cfg_tiny, geom_tiny, pupil_tiny)
     usually very slightly ahead because it learns within the epoch), so the
     check is a bounded ratio, not strict dominance.
     """
-    data = _tiny_dataset(cfg_tiny, geom_tiny, pupil_tiny, seed=101)
+    data = make_dataset(cfg_tiny, "amplitude", 6, 101)
     base = train(data, geom_tiny, pupil_tiny, cfg_tiny, K=4, context="amplitude",
                  tcfg=_tiny_tcfg(seed=5, epochs=1, lr=0.05, noise=False))
     small = train(data, geom_tiny, pupil_tiny, cfg_tiny, K=4, context="amplitude",
@@ -328,7 +319,7 @@ def test_step_scaling_sanity_under_lr_reduction(cfg_tiny, geom_tiny, pupil_tiny)
 
 
 def test_train_phase_context_mask(cfg_tiny, geom_tiny, pupil_tiny):
-    data = _tiny_dataset(cfg_tiny, geom_tiny, pupil_tiny, context="phase")
+    data = make_dataset(cfg_tiny, "phase", 6, 100)
     result = train(data, geom_tiny, pupil_tiny, cfg_tiny, K=4, context="phase",
                    tcfg=_tiny_tcfg(epochs=1))
     W = result.design.weights
