@@ -18,7 +18,7 @@ from .config import (load_config, parallel_map, recon_config, system_config,
                      train_config)
 from .designs import (DesignMatrix, heuristic_design, load_design, save_design,
                       single_led_design)
-from .errors import FpmError
+from .errors import ConfigError, FpmError
 from .formats import read_stack, to_gray, write_csv, write_pgm, write_stack
 from .geometry import build_led_geometry
 from .metrics import context_quantity, hf_psnr, lf_psnr
@@ -100,6 +100,10 @@ def _parse_context(raw: str):
 def cmd_train(args) -> int:
     values, cfg, geometry, pupil = _load_common(args)
     context, gamma = _parse_context(args.context)
+    configured = values.get("context")
+    if configured is not None and configured.split(":", 1)[0] != context:
+        raise ConfigError(f"config context {configured!r} contradicts "
+                          f"--context {args.context!r}")
     tcfg = train_config(values)
     phantom_context = "phase" if context == "phase" else "amplitude"
     n = int(values.get("n_phantoms", 20))

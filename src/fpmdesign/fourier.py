@@ -1,8 +1,11 @@
 """Centered unitary 2-D Fourier transforms and frequency-grid helpers.
 
-Every transform in this package is the norm-preserving ("ortho") DFT with the
-DC bin at the array center, so that frequency-window arithmetic can be done
-with plain array slicing around ``n // 2``.
+Every transform in this package is the norm-preserving ("ortho") DFT. The
+high-res q x q field and spectrum, the public images and every helper here
+keep the DC bin at the array center (``n // 2``). The batched p x p fields
+inside ``optics.SubApertureOps`` and the solver are the one exception: they
+stay in numpy's unshifted FFT layout, and the operator's precomputed window
+indices absorb the shift (see its docstring).
 """
 
 import numpy as np

@@ -6,6 +6,9 @@ The data-fit cost is
 
 and the solver is T steps of plain gradient descent from a constant field.
 This fixed computation graph is what training differentiates through.
+Measurement stacks arrive centered and are moved once, where they enter, to
+the native layout of ``SubApertureOps``; every internal here takes them in
+that layout.
 """
 
 from __future__ import annotations
@@ -112,27 +115,29 @@ def solver_plan(ops, Y, C, alpha, init_phase: float = 0.0):
     return x0, eta
 
 
-def _unroll(ops, Y, C, x0, eta, T, keep_every=0):
+def _unroll(ops, Y, C, x0, eta, T, keep_every=0, keep_terms=False):
     """T gradient steps from x0: the one place a solver step is taken.
 
     Returns the final iterate x_T, the costs at x_0..x_{T-1}, and the
     iterates {t: x_t} for 0 <= t <= T with t % keep_every == 0 (none when
     keep_every is 0). A step rebinds x and never writes into it, so the
-    kept iterates need no copy.
+    kept iterates need no copy. With keep_terms, each kept entry is
+    (x_t, (fields, resid)) with the forward terms the step at x_t computed;
+    no step is taken at x_T, so it is kept as (x_T, None).
     """
     x = x0
     costs = []
     kept = {}
     for t in range(T):
+        value, grad, terms = _cost_grad(ops, x, Y, C)
         if keep_every and t % keep_every == 0:
-            kept[t] = x
-        value, grad, _ = _cost_grad(ops, x, Y, C)
+            kept[t] = (x, terms) if keep_terms else x
         costs.append(value)
         x = x - eta * grad
         if not np.all(np.isfinite(x)):
             raise DivergenceError(t + 1)
     if keep_every and T % keep_every == 0:
-        kept[T] = x
+        kept[T] = (x, None) if keep_terms else x
     return x, costs, kept
 
 
@@ -146,7 +151,7 @@ def cost(x, stack: MeasurementStack, C, geometry, pupil, cfg) -> float:
     ops = _ops_for(geometry, pupil, cfg)
     C = np.asarray(C, dtype=float)
     _check_dims(ops, stack.images, C)
-    value, _, _ = _cost_grad(ops, x, stack.images, C, want_grad=False)
+    value, _, _ = _cost_grad(ops, x, ops.to_native(stack.images), C, want_grad=False)
     return value
 
 
@@ -154,7 +159,7 @@ def grad_x(x, stack: MeasurementStack, C, geometry, pupil, cfg) -> np.ndarray:
     ops = _ops_for(geometry, pupil, cfg)
     C = np.asarray(C, dtype=float)
     _check_dims(ops, stack.images, C)
-    _, grad, _ = _cost_grad(ops, x, stack.images, C)
+    _, grad, _ = _cost_grad(ops, x, ops.to_native(stack.images), C)
     return grad
 
 
@@ -171,7 +176,8 @@ def reconstruct(stack: MeasurementStack, C, geometry, pupil, cfg,
     _check_dims(ops, stack.images, C)
     active = C.sum(axis=0) > 0
     sub, C = ops.subset(active), C[:, active]
-    x0, eta = solver_plan(sub, stack.images, C, rcfg.step_alpha, init_phase)
-    x, history, _ = _unroll(sub, stack.images, C, x0, eta, rcfg.unroll_T)
-    final, _, _ = _cost_grad(sub, x, stack.images, C, want_grad=False)
+    Y = ops.to_native(stack.images)
+    x0, eta = solver_plan(sub, Y, C, rcfg.step_alpha, init_phase)
+    x, history, _ = _unroll(sub, Y, C, x0, eta, rcfg.unroll_T)
+    final, _, _ = _cost_grad(sub, x, Y, C, want_grad=False)
     return ReconTrace(x_star=x, cost_history=history + [final])

@@ -59,11 +59,15 @@ def _loss_grad(x_star, x_true, spec, theta):
     """Gradient w.r.t. the real parameterization of x_star; theta is frozen."""
     aligned = x_star * np.exp(-1j * theta)
     mag = np.abs(aligned)
-    g = spec.gamma * 2.0 * (mag - np.abs(x_true)) * aligned / mag
+    # both terms are singular at a zero-magnitude pixel; it gets zero gradient
+    nonzero = mag > 0
+    g = np.divide(spec.gamma * 2.0 * (mag - np.abs(x_true)) * aligned, mag,
+                  out=np.zeros_like(aligned), where=nonzero)
     diff = np.angle(aligned) - np.angle(x_true)
     if spec.phase_wrap:
         diff = wrap_angle(diff)
-    g = g + (1.0 - spec.gamma) * 2.0 * diff * (1j * aligned / mag ** 2)
+    g = g + (1.0 - spec.gamma) * 2.0 * diff * np.divide(
+        1j * aligned, mag ** 2, out=np.zeros_like(aligned), where=nonzero)
     return g * np.exp(1j * theta)
 
 
@@ -78,12 +82,15 @@ def project(C_raw: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _example_grad(ops, singles_flat, x_true, C, T, alpha, spec, stride):
-    """Loss and dLoss/dC for one training example.
+    """Loss and dLoss/dC for one training example (singles in native layout).
 
     Reverse-mode through: multiplex -> T gradient steps -> aligned loss.
     The initializer, step normalization, and alignment angle are constants
     of the graph. lam carries dLoss/d(x_t) backwards; each step contributes
-    the two C-paths (residual synthesis and the in-solver weights).
+    the two C-paths (residual synthesis and the in-solver weights). Each
+    segment is re-materialized from its checkpoint with the forward terms
+    its steps computed, so only the segment's last state needs a forward
+    of its own.
     """
     K = C.shape[0]
     p2 = ops.p * ops.p
@@ -99,10 +106,14 @@ def _example_grad(ops, singles_flat, x_true, C, T, alpha, spec, stride):
     for seg_start in reversed(range(0, T, stride)):
         seg_end = min(seg_start + stride, T)
         _, _, states = _unroll(ops, Y, C, checkpoints[seg_start], eta,
-                               seg_end - seg_start - 1, keep_every=1)
+                               seg_end - seg_start - 1, keep_every=1, keep_terms=True)
         for t in reversed(range(seg_start, seg_end)):
-            fields, intens, resid = _cost_terms(ops, states[t - seg_start], Y, C)
-            intens = intens.reshape(ops.L, p2)
+            x_t, terms = states.pop(t - seg_start)
+            if terms is None:
+                fields, _, resid = _cost_terms(ops, x_t, Y, C)
+            else:
+                fields, resid = terms
+            intens = (np.abs(fields) ** 2).reshape(ops.L, p2)
             resid = resid.reshape(K, p2)
             h = ops.forward(lam)
             inner = np.real(np.conj(h) * fields).reshape(ops.L, p2)
@@ -119,14 +130,14 @@ def _resolve_stride(tcfg: TrainConfig) -> int:
 
 
 def _batch_grad(ops, batch, C, spec, tcfg):
-    """Mean loss and mean gradient over a batch of (singles, x_true)."""
+    """Mean loss and mean gradient over a batch of (centered singles, x_true)."""
     T = tcfg.unroll.unroll_T
     alpha = tcfg.unroll.step_alpha
     stride = _resolve_stride(tcfg)
 
     def run(item):
         singles, x_true = item
-        flat = np.asarray(singles, dtype=float).reshape(ops.L, -1)
+        flat = ops.to_native(np.asarray(singles, dtype=float)).reshape(ops.L, -1)
         return _example_grad(ops, flat, x_true, C, T, alpha, spec, stride)
 
     # fixed reduction order keeps gradients bit-reproducible
@@ -149,7 +160,8 @@ def grad_design(batch, C, geometry: LedGeometry, pupil: Pupil, cfg: SystemConfig
 
 
 def _example_loss(ops, singles, x_true, C, spec, rcfg_T, alpha):
-    flat = np.asarray(singles, dtype=float).reshape(ops.L, -1)
+    """Loss after the unrolled solve of one example (centered singles)."""
+    flat = ops.to_native(np.asarray(singles, dtype=float)).reshape(ops.L, -1)
     Y = (C @ flat).reshape(C.shape[0], ops.p, ops.p)
     x0, eta = solver_plan(ops, Y, C, alpha)
     x, _, _ = _unroll(ops, Y, C, x0, eta, rcfg_T)
@@ -204,6 +216,8 @@ def train(dataset: Dataset, geometry: LedGeometry, pupil: Pupil, cfg: SystemConf
         return [(simulate_singles(ph.field, geometry, pupil, cfg), ph.field)
                 for ph in phantoms]
 
+    # centered, as shot noise is drawn on them; _batch_grad and
+    # _example_loss move them to the operators' native layout
     train_items = examples(dataset.train_phantoms())
     test_items = examples(dataset.test_phantoms())
     T, alpha = tcfg.unroll.unroll_T, tcfg.unroll.step_alpha

@@ -176,6 +176,21 @@ def test_train_context_validation(tmp_path, cfg_file, capsys):
     assert rc == 1
 
 
+def test_train_rejects_contradicting_config_context(tmp_path, capsys):
+    path = tmp_path / "phase.cfg"
+    path.write_text(TINY_CFG + "context = phase\n")
+    rc = main(["train", "--config", str(path), "--context", "amplitude",
+               "--K", "5", "--out", str(tmp_path / "x.design")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "context" in err and "phase" in err
+    assert not (tmp_path / "x.design").exists()
+    # the gamma suffix is not part of the comparison
+    path.write_text(TINY_CFG.replace("epochs = 2", "epochs = 1") + "context = mixed\n")
+    assert main(["train", "--config", str(path), "--context", "mixed:0.5",
+                 "--K", "5", "--out", str(tmp_path / "y.design")]) == 0
+
+
 def test_evaluate_csv_and_determinism(tmp_path, cfg_file):
     d6 = str(tmp_path / "d6.design")
     d8 = str(tmp_path / "d8.design")

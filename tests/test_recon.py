@@ -177,8 +177,9 @@ def test_inactive_leds_are_skipped_consistently(cfg_tiny, geom_tiny, pupil_tiny)
     base = reconstruct(stack, W, geom_tiny, pupil_tiny, cfg_tiny, rcfg)
 
     ops = SubApertureOps.for_geometry(geom_tiny, pupil_tiny, cfg_tiny)
-    x0, eta = solver_plan(ops, stack.images, W, rcfg.step_alpha)
-    dense_x, dense_hist, _ = _unroll(ops, stack.images, W, x0, eta, rcfg.unroll_T)
-    dense_hist.append(_cost_grad(ops, dense_x, stack.images, W, want_grad=False)[0])
+    Y = ops.to_native(stack.images)
+    x0, eta = solver_plan(ops, Y, W, rcfg.step_alpha)
+    dense_x, dense_hist, _ = _unroll(ops, Y, W, x0, eta, rcfg.unroll_T)
+    dense_hist.append(_cost_grad(ops, dense_x, Y, W, want_grad=False)[0])
     assert np.abs(base.x_star - dense_x).max() < 1e-9 * np.abs(dense_x).max()
     np.testing.assert_allclose(base.cost_history, dense_hist, rtol=1e-8)

@@ -117,6 +117,28 @@ def test_loss_grad_matches_finite_differences():
         assert abs(fd - g[r, c]) < 1e-6 * max(abs(fd), 1e-9)
 
 
+def test_loss_grad_is_zero_at_zero_magnitude_pixels():
+    rng = np.random.default_rng(46)
+    x_true = _random_field(rng, 8)
+    x_star = _random_field(rng, 8)
+    x_star[2, 3] = 0.0
+    spec = LossSpec(gamma=0.3)
+    theta = 0.2
+    g = _loss_grad(x_star, x_true, spec, theta)
+    assert np.all(np.isfinite(g))
+    assert g[2, 3] == 0.0
+    # every other pixel keeps the plain quotient formula, bit for bit
+    aligned = x_star * np.exp(-1j * theta)
+    mag = np.abs(aligned)
+    diff = wrap_angle(np.angle(aligned) - np.angle(x_true))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plain = spec.gamma * 2.0 * (mag - np.abs(x_true)) * aligned / mag
+        plain = plain + (1.0 - spec.gamma) * 2.0 * diff * (1j * aligned / mag ** 2)
+    plain = plain * np.exp(1j * theta)
+    keep = mag > 0
+    assert np.array_equal(g[keep], plain[keep])
+
+
 def test_loss_spec_for_contexts():
     assert loss_spec_for("amplitude").gamma == 1.0
     assert loss_spec_for("phase").gamma == 0.0
@@ -188,8 +210,8 @@ def test_design_gradient_public_entry(cfg_tiny, geom_tiny, pupil_tiny):
     assert dC.shape == C.shape
 
     ops = SubApertureOps.for_geometry(geom_tiny, pupil_tiny, cfg_tiny)
-    f, _ = frozen_plan_loss(ops, singles.reshape(geom_tiny.L, -1), phantom.field,
-                            C, 0.5, 4, spec)
+    f, _ = frozen_plan_loss(ops, ops.to_native(singles).reshape(geom_tiny.L, -1),
+                            phantom.field, C, 0.5, 4, spec)
     h = 1e-6
     rng2 = np.random.default_rng(48)
     picks = [(int(a), int(b)) for a, b in
@@ -224,6 +246,28 @@ def test_checkpoint_stride_is_pure_memory_tradeoff():
         loss_s, grad_s = _example_grad(ops, flat, x_true, C, T, alpha, spec, stride)
         assert loss_s == ref_loss
         assert np.abs(grad_s - ref_grad).max() <= 1e-10 * max(np.abs(ref_grad).max(), 1e-30)
+
+
+@pytest.mark.parametrize("T, stride", [(30, 5), (7, 3)])
+def test_example_grad_operator_counts(monkeypatch, T, stride):
+    # plan: 1 + 16 forwards, 16 adjoints; forward unroll: T of each;
+    # segment re-materialization: T forwards (each segment's last state
+    # needs one of its own), T - segments adjoints; reverse sweep: T of each
+    ops = make_toy_ops()
+    x_true, singles, C = toy_scene(ops, seed=10, k_rows=2)
+    calls = {"forward": 0, "adjoint_sum": 0}
+    for name in calls:
+        original = getattr(SubApertureOps, name)
+
+        def counted(self, arg, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(SubApertureOps, name, counted)
+    _example_grad(ops, singles.reshape(ops.L, -1), x_true, C, T, 0.5, LossSpec(), stride)
+    segments = -(-T // stride)
+    assert calls["forward"] == 3 * T + 17
+    assert calls["adjoint_sum"] == 3 * T + 16 - segments
 
 
 def test_duplicate_leds_give_symmetric_gradient():
