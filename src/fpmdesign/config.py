@@ -94,8 +94,6 @@ class LossSpec:
     """Weighted amplitude/phase loss settings."""
 
     gamma: float = 1.0
-    phase_wrap: bool = True
-    global_phase_align: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:

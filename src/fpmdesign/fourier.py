@@ -1,11 +1,10 @@
 """Centered unitary 2-D Fourier transforms and frequency-grid helpers.
 
-Every transform in this package is the norm-preserving ("ortho") DFT. The
-high-res q x q field and spectrum, the public images and every helper here
-keep the DC bin at the array center (``n // 2``). The batched p x p fields
-inside ``optics.SubApertureOps`` and the solver are the one exception: they
-stay in numpy's unshifted FFT layout, and the operator's precomputed window
-indices absorb the shift (see its docstring).
+Every transform in this package is the norm-preserving ("ortho") DFT, and
+every image, field and spectrum keeps the DC bin and the spatial center at
+the array center (``n // 2``). ``optics.SubApertureOps`` runs its batched
+p x p transforms without a shift: its window indices and pupil kernel
+absorb it (see its docstring).
 """
 
 import numpy as np

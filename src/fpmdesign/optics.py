@@ -4,9 +4,8 @@ The single-LED operator A_l maps the q x q high-res transmittance to a p x p
 low-res field: take the centered unitary FFT, cut out the p x p frequency
 window at the grid bin closest to the LED's illumination frequency, apply the
 binary pupil, and transform back on the small grid. Tilted illumination is
-exactly a shift of which window the objective's pupil sees. The functions of
-this module take and return centered images; ``SubApertureOps`` itself works
-on p x p stacks in the unshifted FFT layout.
+exactly a shift of which window the objective's pupil sees. Every image and
+field this module takes or returns is centered.
 """
 
 from __future__ import annotations
@@ -49,18 +48,16 @@ def led_window_offsets(geometry: LedGeometry, cfg: SystemConfig) -> np.ndarray:
 class SubApertureOps:
     """Batched A_l / A_l^H for a fixed set of frequency-window offsets.
 
-    Layout contract: the (L, p, p) fields this class takes and returns, and
-    every p x p stack handed to the solver and training internals, are in
-    the unshifted ("native") FFT layout, with the spatial center at index
-    (0, 0). ``to_native`` maps centered p x p data into that layout and
-    ``from_native`` maps it back; the module-level functions below keep
-    the centered layout of the rest of the package. The (q, q) field is
-    centered on both sides.
-
-    ``__init__`` precomputes, per LED, the flat indices of its p x p window
-    in the centered q x q spectrum with the small ``ifftshift`` folded in,
-    so ``forward`` is one gather and ``adjoint_sum`` one scatter, with no
-    shift of an (L, p, p) stack.
+    The (q, q) field and the (L, p, p) fields are centered, like every
+    image in the package. ``__init__`` precomputes, per LED, the flat
+    indices of its p x p window in the centered q x q spectrum with the
+    small ``ifftshift`` folded in, and one complex kernel: the
+    ``ifftshift``-ed pupil times the phase ramp r (x) r with
+    r[k] = exp(-2j pi k (p // 2) / p), since
+    ``fftshift(ifft2(V)) == ifft2(V * outer(r, r))``. So ``forward`` is one
+    gather, one multiply and one batched inverse FFT, ``adjoint_sum`` one
+    batched FFT, one multiply by the conjugate kernel and one scatter, and
+    no (L, p, p) stack is ever shifted.
     """
 
     def __init__(self, q: int, p: int, offsets: np.ndarray, pupil_mask: np.ndarray):
@@ -72,11 +69,12 @@ class SubApertureOps:
         cols = q // 2 + self.offsets[:, 1] - p // 2
         if (rows < 0).any() or (rows + p > q).any() or (cols < 0).any() or (cols + p > q).any():
             raise GeometryError("shifted frequency window exceeds the high-res grid")
-        # native bin i of a window is centered bin (i + p // 2) % p
+        # bin i of the unshifted window is centered bin (i + p // 2) % p
         local = np.fft.ifftshift(np.arange(p))
         self._index = ((rows[:, None, None] + local[None, :, None]) * q
                        + cols[:, None, None] + local[None, None, :])
-        self._pupil_native = np.fft.ifftshift(self.pupil)
+        ramp = np.exp(-2j * np.pi * ((np.arange(p) * (p // 2)) % p) / p)
+        self._kernel = np.fft.ifftshift(self.pupil) * np.outer(ramp, ramp)
 
     @classmethod
     def for_geometry(cls, geometry: LedGeometry, pupil: Pupil, cfg: SystemConfig):
@@ -86,28 +84,18 @@ class SubApertureOps:
         """Operators restricted to a boolean subset of LEDs."""
         return SubApertureOps(self.q, self.p, self.offsets[keep], self.pupil)
 
-    @staticmethod
-    def to_native(images: np.ndarray) -> np.ndarray:
-        """Centered p x p image(s) -> the native layout of the operators."""
-        return np.fft.ifftshift(images, axes=(-2, -1))
-
-    @staticmethod
-    def from_native(images: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_native`."""
-        return np.fft.fftshift(images, axes=(-2, -1))
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """All A_l x at once, shape (L, p, p) complex, native layout."""
+        """All A_l x at once, shape (L, p, p) complex."""
         if x.shape != (self.q, self.q):
             raise FpmError(f"expected {(self.q, self.q)} field, got {x.shape}")
         windows = cfft2(x).ravel()[self._index]
-        return np.fft.ifft2(windows * self._pupil_native, norm="ortho")
+        return np.fft.ifft2(windows * self._kernel, norm="ortho")
 
     def adjoint_sum(self, fields: np.ndarray) -> np.ndarray:
-        """sum_l A_l^H fields[l] for a native (L, p, p) stack, shape (q, q)."""
+        """sum_l A_l^H fields[l] for an (L, p, p) stack, shape (q, q)."""
         if fields.shape != (self.L, self.p, self.p):
             raise FpmError(f"expected {(self.L, self.p, self.p)} stack, got {fields.shape}")
-        windows = (np.fft.fft2(fields, norm="ortho") * self._pupil_native).ravel()
+        windows = (np.fft.fft2(fields, norm="ortho") * self._kernel.conj()).ravel()
         index = self._index.ravel()
         # bincount adds the LEDs in order from zero, like a loop of window +=
         n = self.q * self.q
@@ -123,15 +111,14 @@ def _single_op(geometry, led_index, pupil, cfg) -> SubApertureOps:
 
 
 def forward_field(x, geometry, led_index, pupil, cfg) -> np.ndarray:
-    """A_l x for one LED, shape (p, p) complex, centered."""
-    ops = _single_op(geometry, led_index, pupil, cfg)
-    return ops.from_native(ops.forward(x)[0])
+    """A_l x for one LED, shape (p, p) complex."""
+    return _single_op(geometry, led_index, pupil, cfg).forward(x)[0]
 
 
 def adjoint_field(v, geometry, led_index, pupil, cfg) -> np.ndarray:
-    """A_l^H v for one LED and a centered v, shape (q, q) complex."""
+    """A_l^H v for one LED, shape (q, q) complex."""
     ops = _single_op(geometry, led_index, pupil, cfg)
-    return ops.adjoint_sum(ops.to_native(np.asarray(v, dtype=complex))[None])
+    return ops.adjoint_sum(np.asarray(v, dtype=complex)[None])
 
 
 def simulate_single_led(x, geometry, led_index, pupil, cfg) -> np.ndarray:
@@ -141,9 +128,9 @@ def simulate_single_led(x, geometry, led_index, pupil, cfg) -> np.ndarray:
 
 
 def simulate_singles(x, geometry, pupil, cfg) -> np.ndarray:
-    """All single-LED intensity images, shape (L, p, p), centered."""
+    """All single-LED intensity images, shape (L, p, p)."""
     ops = SubApertureOps.for_geometry(geometry, pupil, cfg)
-    return ops.from_native(np.abs(ops.forward(x)) ** 2)
+    return np.abs(ops.forward(x)) ** 2
 
 
 def multiplex(singles: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -176,12 +163,9 @@ class MeasurementStack:
 def simulate_stack(x, weights_matrix, geometry, pupil, cfg, design_id="") -> MeasurementStack:
     """Simulate the full multiplexed stack for a K x L weights matrix."""
     weights_matrix = np.asarray(weights_matrix, dtype=float)
-    # multiplexed in the operators' native layout, so that the solver's
-    # residual at the truth is exactly zero, then centered
-    ops = SubApertureOps.for_geometry(geometry, pupil, cfg)
-    singles = np.abs(ops.forward(x)) ** 2
-    images = np.tensordot(weights_matrix, singles.reshape(geometry.L, -1), axes=(1, 0))
-    images = ops.from_native(images.reshape(len(weights_matrix), cfg.patch_px, cfg.patch_px))
+    singles = simulate_singles(x, geometry, pupil, cfg)
+    # the solver's own contraction, so its residual at the truth is exactly zero
+    images = np.tensordot(weights_matrix, singles, axes=(1, 0))
     bright = (weights_matrix[:, geometry.is_bright] > 0).any(axis=1)
     return MeasurementStack(images, bright, design_id=design_id)
 

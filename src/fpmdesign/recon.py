@@ -6,9 +6,7 @@ The data-fit cost is
 
 and the solver is T steps of plain gradient descent from a constant field.
 This fixed computation graph is what training differentiates through.
-Measurement stacks arrive centered and are moved once, where they enter, to
-the native layout of ``SubApertureOps``; every internal here takes them in
-that layout.
+Measurement stacks are centered, as everywhere in the package.
 """
 
 from __future__ import annotations
@@ -17,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ReconConfig, SystemConfig
+from .config import ReconConfig
 from .errors import DivergenceError, FpmError
-from .optics import MeasurementStack, Pupil, SubApertureOps
+from .optics import MeasurementStack, SubApertureOps
 
 __all__ = [
     "ReconTrace", "cost", "grad_x", "curvature_scale", "reconstruct",
@@ -65,12 +63,17 @@ def _cost_grad(ops, x, Y, C, want_grad=True):
 
 def _hessian_vec(ops, u, fields, resid, C):
     """Hessian-vector product of the cost at the point that produced
-    (fields, resid), applied to the field u. Real-parameterization Hessian."""
+    (fields, resid), applied to the field u. Real-parameterization Hessian.
+
+    Returns (H u, inner) with inner = Re(conj(A_l u) * A_l x) per LED, the
+    linearized intensity change that the design gradient reuses.
+    """
     hu = ops.forward(u)
     inner = np.real(np.conj(hu) * fields)
     mixed = np.tensordot(C.T, np.tensordot(C, inner, axes=(1, 0)), axes=(1, 0))
     weighted = np.tensordot(C.T, resid, axes=(1, 0))
-    return ops.adjoint_sum(-4.0 * weighted * hu + 8.0 * mixed * fields)
+    # the -4 scales the (q, q) result, not the larger (L, p, p) stack
+    return -4.0 * ops.adjoint_sum(weighted * hu - 2.0 * mixed * fields), inner
 
 
 def curvature_scale(ops, x0, Y, C, iters: int = 16) -> float:
@@ -87,7 +90,7 @@ def curvature_scale(ops, x0, Y, C, iters: int = 16) -> float:
     u /= np.linalg.norm(u)
     top = 0.0
     for _ in range(iters):
-        hu = _hessian_vec(ops, u, fields, resid, C)
+        hu, _ = _hessian_vec(ops, u, fields, resid, C)
         top = abs(float(np.vdot(u, hu).real))
         norm = np.linalg.norm(hu)
         if norm < 1e-300:
@@ -96,20 +99,20 @@ def curvature_scale(ops, x0, Y, C, iters: int = 16) -> float:
     return top
 
 
-def _initial_field(ops, Y, phase: float = 0.0) -> np.ndarray:
+def _initial_field(ops, Y) -> np.ndarray:
     """Constant field matched to the first measurement's mean intensity."""
     amp = np.sqrt(max(float(Y[0].mean()), 0.0) * ops.p ** 2 / ops.q ** 2)
-    return np.full((ops.q, ops.q), amp * np.exp(1j * phase), dtype=complex)
+    return np.full((ops.q, ops.q), amp, dtype=complex)
 
 
-def solver_plan(ops, Y, C, alpha, init_phase: float = 0.0):
+def solver_plan(ops, Y, C, alpha):
     """Initializer and normalized step for the unrolled solver.
 
     Both are treated as constants during design training (the initializer is
     a fixed network input; the curvature normalization is part of the solver
     definition, not of the differentiated graph).
     """
-    x0 = _initial_field(ops, Y, init_phase)
+    x0 = _initial_field(ops, Y)
     top = curvature_scale(ops, x0, Y, C)
     eta = alpha / top if top > 0 else 0.0
     return x0, eta
@@ -143,28 +146,24 @@ def _unroll(ops, Y, C, x0, eta, T, keep_every=0, keep_terms=False):
 
 # -------- public, spec-level entry points --------
 
-def _ops_for(geometry, pupil: Pupil, cfg: SystemConfig) -> SubApertureOps:
-    return SubApertureOps.for_geometry(geometry, pupil, cfg)
-
-
 def cost(x, stack: MeasurementStack, C, geometry, pupil, cfg) -> float:
-    ops = _ops_for(geometry, pupil, cfg)
+    ops = SubApertureOps.for_geometry(geometry, pupil, cfg)
     C = np.asarray(C, dtype=float)
     _check_dims(ops, stack.images, C)
-    value, _, _ = _cost_grad(ops, x, ops.to_native(stack.images), C, want_grad=False)
+    value, _, _ = _cost_grad(ops, x, stack.images, C, want_grad=False)
     return value
 
 
 def grad_x(x, stack: MeasurementStack, C, geometry, pupil, cfg) -> np.ndarray:
-    ops = _ops_for(geometry, pupil, cfg)
+    ops = SubApertureOps.for_geometry(geometry, pupil, cfg)
     C = np.asarray(C, dtype=float)
     _check_dims(ops, stack.images, C)
-    _, grad, _ = _cost_grad(ops, x, ops.to_native(stack.images), C)
+    _, grad, _ = _cost_grad(ops, x, stack.images, C)
     return grad
 
 
 def reconstruct(stack: MeasurementStack, C, geometry, pupil, cfg,
-                rcfg: ReconConfig, init_phase: float = 0.0) -> ReconTrace:
+                rcfg: ReconConfig) -> ReconTrace:
     """Run the T-step unrolled solver on a measurement stack.
 
     LEDs with zero weight in every measurement are skipped; with strictly
@@ -172,12 +171,12 @@ def reconstruct(stack: MeasurementStack, C, geometry, pupil, cfg,
     and much faster for sparse designs.
     """
     C = np.asarray(C, dtype=float)
-    ops = _ops_for(geometry, pupil, cfg)
+    ops = SubApertureOps.for_geometry(geometry, pupil, cfg)
     _check_dims(ops, stack.images, C)
     active = C.sum(axis=0) > 0
     sub, C = ops.subset(active), C[:, active]
-    Y = ops.to_native(stack.images)
-    x0, eta = solver_plan(sub, Y, C, rcfg.step_alpha, init_phase)
+    Y = stack.images
+    x0, eta = solver_plan(sub, Y, C, rcfg.step_alpha)
     x, history, _ = _unroll(sub, Y, C, x0, eta, rcfg.unroll_T)
     final, _, _ = _cost_grad(sub, x, Y, C, want_grad=False)
     return ReconTrace(x_star=x, cost_history=history + [final])

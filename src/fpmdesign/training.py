@@ -21,7 +21,7 @@ from .geometry import LedGeometry
 from .optics import (MeasurementStack, Pupil, SubApertureOps, add_shot_noise,
                      simulate_singles)
 from .phantoms import Dataset
-from .recon import _cost_terms, _unroll, solver_plan
+from .recon import _cost_terms, _hessian_vec, _unroll, solver_plan
 
 __all__ = [
     "loss", "grad_design", "project", "train", "TrainResult", "loss_spec_for",
@@ -41,16 +41,13 @@ def loss(x_star, x_true, spec: LossSpec) -> float:
     """Weighted amplitude/phase squared error after global-phase alignment."""
     if x_star.shape != x_true.shape:
         raise FpmError(f"shape mismatch {x_star.shape} vs {x_true.shape}")
-    theta = _align_phase(x_star, x_true) if spec.global_phase_align else 0.0
-    return _loss_value(x_star, x_true, spec, theta)
+    return _loss_value(x_star, x_true, spec, _align_phase(x_star, x_true))
 
 
 def _loss_value(x_star, x_true, spec, theta):
     aligned = x_star * np.exp(-1j * theta)
     amp_term = np.sum((np.abs(aligned) - np.abs(x_true)) ** 2)
-    diff = np.angle(aligned) - np.angle(x_true)
-    if spec.phase_wrap:
-        diff = wrap_angle(diff)
+    diff = wrap_angle(np.angle(aligned) - np.angle(x_true))
     phase_term = np.sum(diff ** 2)
     return float(spec.gamma * amp_term + (1.0 - spec.gamma) * phase_term)
 
@@ -63,9 +60,7 @@ def _loss_grad(x_star, x_true, spec, theta):
     nonzero = mag > 0
     g = np.divide(spec.gamma * 2.0 * (mag - np.abs(x_true)) * aligned, mag,
                   out=np.zeros_like(aligned), where=nonzero)
-    diff = np.angle(aligned) - np.angle(x_true)
-    if spec.phase_wrap:
-        diff = wrap_angle(diff)
+    diff = wrap_angle(np.angle(aligned) - np.angle(x_true))
     g = g + (1.0 - spec.gamma) * 2.0 * diff * np.divide(
         1j * aligned, mag ** 2, out=np.zeros_like(aligned), where=nonzero)
     return g * np.exp(1j * theta)
@@ -82,15 +77,16 @@ def project(C_raw: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _example_grad(ops, singles_flat, x_true, C, T, alpha, spec, stride):
-    """Loss and dLoss/dC for one training example (singles in native layout).
+    """Loss and dLoss/dC for one training example, singles (L, p*p).
 
     Reverse-mode through: multiplex -> T gradient steps -> aligned loss.
     The initializer, step normalization, and alignment angle are constants
-    of the graph. lam carries dLoss/d(x_t) backwards; each step contributes
-    the two C-paths (residual synthesis and the in-solver weights). Each
-    segment is re-materialized from its checkpoint with the forward terms
-    its steps computed, so only the segment's last state needs a forward
-    of its own.
+    of the graph. lam carries dLoss/d(x_t) backwards through the step's
+    linearization lam - eta * H lam, which ``recon._hessian_vec`` gives
+    together with the linearized intensities that the two C-paths
+    (residual synthesis and the in-solver weights) contract. Each segment
+    is re-materialized from its checkpoint with the forward terms its steps
+    computed, so only the segment's last state needs a forward of its own.
     """
     K = C.shape[0]
     p2 = ops.p * ops.p
@@ -113,14 +109,12 @@ def _example_grad(ops, singles_flat, x_true, C, T, alpha, spec, stride):
                 fields, _, resid = _cost_terms(ops, x_t, Y, C)
             else:
                 fields, resid = terms
+            h_lam, inner = _hessian_vec(ops, lam, fields, resid, C)
             intens = (np.abs(fields) ** 2).reshape(ops.L, p2)
-            resid = resid.reshape(K, p2)
-            h = ops.forward(lam)
-            inner = np.real(np.conj(h) * fields).reshape(ops.L, p2)
-            dC += 4.0 * eta * (resid @ inner.T + (C @ inner) @ (singles_flat - intens).T)
-            mixed = (C.T @ (C @ inner)).reshape(ops.L, ops.p, ops.p)
-            weighted = (C.T @ resid).reshape(ops.L, ops.p, ops.p)
-            lam = lam + 4.0 * eta * ops.adjoint_sum(weighted * h - 2.0 * mixed * fields)
+            inner = inner.reshape(ops.L, p2)
+            dC += 4.0 * eta * (resid.reshape(K, p2) @ inner.T
+                               + (C @ inner) @ (singles_flat - intens).T)
+            lam = lam - eta * h_lam
     return loss_val, dC
 
 
@@ -130,14 +124,14 @@ def _resolve_stride(tcfg: TrainConfig) -> int:
 
 
 def _batch_grad(ops, batch, C, spec, tcfg):
-    """Mean loss and mean gradient over a batch of (centered singles, x_true)."""
+    """Mean loss and mean gradient over a batch of (singles, x_true)."""
     T = tcfg.unroll.unroll_T
     alpha = tcfg.unroll.step_alpha
     stride = _resolve_stride(tcfg)
 
     def run(item):
         singles, x_true = item
-        flat = ops.to_native(np.asarray(singles, dtype=float)).reshape(ops.L, -1)
+        flat = np.asarray(singles, dtype=float).reshape(ops.L, -1)
         return _example_grad(ops, flat, x_true, C, T, alpha, spec, stride)
 
     # fixed reduction order keeps gradients bit-reproducible
@@ -160,8 +154,8 @@ def grad_design(batch, C, geometry: LedGeometry, pupil: Pupil, cfg: SystemConfig
 
 
 def _example_loss(ops, singles, x_true, C, spec, rcfg_T, alpha):
-    """Loss after the unrolled solve of one example (centered singles)."""
-    flat = ops.to_native(np.asarray(singles, dtype=float)).reshape(ops.L, -1)
+    """Loss after the unrolled solve of one example."""
+    flat = np.asarray(singles, dtype=float).reshape(ops.L, -1)
     Y = (C @ flat).reshape(C.shape[0], ops.p, ops.p)
     x0, eta = solver_plan(ops, Y, C, alpha)
     x, _, _ = _unroll(ops, Y, C, x0, eta, rcfg_T)
@@ -216,8 +210,6 @@ def train(dataset: Dataset, geometry: LedGeometry, pupil: Pupil, cfg: SystemConf
         return [(simulate_singles(ph.field, geometry, pupil, cfg), ph.field)
                 for ph in phantoms]
 
-    # centered, as shot noise is drawn on them; _batch_grad and
-    # _example_loss move them to the operators' native layout
     train_items = examples(dataset.train_phantoms())
     test_items = examples(dataset.test_phantoms())
     T, alpha = tcfg.unroll.unroll_T, tcfg.unroll.step_alpha
